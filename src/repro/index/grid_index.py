@@ -110,7 +110,7 @@ class GridIndex:
         )
         order = np.argsort(ids, kind="stable")
         ids, coords = ids[order], coords[order]
-        return [ids[np.flatnonzero(row)] for row in kernel.containment(coords)]
+        return [ids[rows] for rows in kernel.evaluate(coords)]
 
     def cell_counts(self) -> np.ndarray:
         """Point counts per cell, shape ``(cells, cells)`` indexed [cx, cy].

@@ -1,4 +1,4 @@
-"""Vectorized batch evaluation of range CQs — the simulation hot path.
+"""Vectorized batch evaluation of range CQs — the simulation and server hot path.
 
 The measurement loop behind every accuracy figure evaluates each range
 CQ against all node positions per tick.  Doing that one query at a time
@@ -13,6 +13,10 @@ query against a position snapshot in one vectorized pass:
   queries overlapping them), then
 * a boolean containment matrix ``(Q, N)``, with missing/extra counts
   derived by mask arithmetic instead of per-query set differences.
+
+Result sets (:meth:`QueryEvalKernel.evaluate`, what the CQ server
+answers every period) skip the matrix: exact containment runs on the
+bucket candidate pairs only, and the survivors are split per query.
 
 Containment uses the exact half-open convention of
 :class:`~repro.geo.Rect` (``x1 <= x < x2`` and ``y1 <= y < y2``), so
@@ -29,6 +33,9 @@ import numpy as np
 
 from repro.geo import Rect
 from repro.queries.range_query import RangeQuery
+
+#: Bucket grid resolution when the caller has no statistics grid to match.
+DEFAULT_CELLS_PER_SIDE = 64
 
 #: Above this many (query, node) pairs the dense containment matrix is
 #: built via cell-bucket candidate pruning instead of full broadcasting.
@@ -81,7 +88,7 @@ class QueryEvalKernel:
         self,
         queries: list[RangeQuery],
         bounds: Rect | None = None,
-        cells_per_side: int = 64,
+        cells_per_side: int = DEFAULT_CELLS_PER_SIDE,
     ) -> None:
         self.queries = list(queries)
         self.bounds = bounds
@@ -120,14 +127,22 @@ class QueryEvalKernel:
         lying entirely outside) the bounds map onto the edge cells —
         exactly where out-of-bounds positions clamp to.  The bucket is a
         conservative superset: exact containment runs on candidates.
+
+        Each bound goes through the same ``floor((v - origin) / cell)``
+        arithmetic as :meth:`cell_indices`, and that arithmetic is
+        monotone in ``v``: a node with ``x1 <= x < x2`` can land in
+        neither a lower column than ``x1`` nor a higher one than ``x2``.
+        The upper index is therefore ``floor`` of the open edge itself,
+        not ``ceil(...) - 1`` — when the quotient is an exact integer, a
+        node one ulp below ``x2`` can round up into that next column.
         """
         cells = self.cells_per_side
         b = self.bounds
         with np.errstate(invalid="ignore"):
             i_lo = np.floor((self.rects[:, 0] - b.x1) / self._cell_w)
-            i_hi = np.ceil((self.rects[:, 2] - b.x1) / self._cell_w) - 1.0
+            i_hi = np.floor((self.rects[:, 2] - b.x1) / self._cell_w)
             j_lo = np.floor((self.rects[:, 1] - b.y1) / self._cell_h)
-            j_hi = np.ceil((self.rects[:, 3] - b.y1) / self._cell_h) - 1.0
+            j_hi = np.floor((self.rects[:, 3] - b.y1) / self._cell_h)
         ranges = np.stack([i_lo, i_hi, j_lo, j_hi], axis=1)
         np.nan_to_num(ranges, copy=False)
         ranges = np.clip(ranges, 0, cells - 1).astype(np.int64)
@@ -165,18 +180,23 @@ class QueryEvalKernel:
     def cell_indices(self, positions: np.ndarray) -> np.ndarray:
         """Flat bucket-cell ids for positions ``(N, 2)``, clamped to edges.
 
-        NaN coordinates land in cell 0; pruning treats that cell's bucket
-        as candidates and exact containment rejects NaN anyway.
+        NaN coordinates land in cell 0 (candidate generation skips them;
+        exact containment would reject them anyway).  Clamping the
+        quotient into ``[0, cells - 1]`` before truncating equals
+        ``floor`` then clamp; ``fmax``/``fmin`` ignore NaN, so they also
+        send NaN to 0 and ±inf to the edge cells in the same pass.
         """
-        cells = self.cells_per_side
-        with np.errstate(invalid="ignore"):
-            ix = np.floor((positions[:, 0] - self.bounds.x1) / self._cell_w)
-            iy = np.floor((positions[:, 1] - self.bounds.y1) / self._cell_h)
-        ix = np.nan_to_num(ix, nan=0.0, posinf=cells - 1, neginf=0.0)
-        iy = np.nan_to_num(iy, nan=0.0, posinf=cells - 1, neginf=0.0)
-        ix = np.clip(ix, 0, cells - 1).astype(np.int64)
-        iy = np.clip(iy, 0, cells - 1).astype(np.int64)
-        return ix * cells + iy
+        last = self.cells_per_side - 1
+        ix = positions[:, 0] - self.bounds.x1
+        ix /= self._cell_w
+        np.fmin(np.fmax(ix, 0.0, out=ix), last, out=ix)
+        iy = positions[:, 1] - self.bounds.y1
+        iy /= self._cell_h
+        np.fmin(np.fmax(iy, 0.0, out=iy), last, out=iy)
+        flat = ix.astype(np.int64)
+        flat *= self.cells_per_side
+        flat += iy.astype(np.int64)
+        return flat
 
     def queries_for_cell(self, ci: int, cj: int) -> np.ndarray:
         """Ids (workload row indices) of queries overlapping bucket cell."""
@@ -228,46 +248,74 @@ class QueryEvalKernel:
         out = np.zeros((q, n), dtype=bool)
         if n == 0 or q == 0:
             return out
-        q_idx, n_idx = self._candidate_pairs(positions)
-        if q_idx.size == 0:
-            return out
-        px = positions[n_idx, 0]
-        py = positions[n_idx, 1]
-        rect = self.rects[q_idx]
-        inside = (
-            (px >= rect[:, 0])
-            & (px < rect[:, 2])
-            & (py >= rect[:, 1])
-            & (py < rect[:, 3])
-        )
-        out[q_idx[inside], n_idx[inside]] = True
+        q_idx, n_idx = self._contained_pairs(positions)
+        out[q_idx, n_idx] = True
         return out
 
     def _candidate_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(query, node) candidate pairs from the cell buckets, vectorized.
 
         For each node, every query bucketed in the node's cell is a
-        candidate.  The ragged gather walks the CSR arrays without a
-        Python loop.
+        candidate; pairs come out grouped by node, nodes ascending.  The
+        ragged gather walks the CSR arrays without a Python loop.  NaN
+        rows are never contained, so they yield no candidates: a crowd
+        of never-seen nodes clamped into cell 0 costs nothing.
         """
         flat = self.cell_indices(positions)
         starts = self._bucket_offsets[flat]
         counts = self._bucket_offsets[flat + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        n_idx = np.repeat(np.arange(positions.shape[0], dtype=np.int64), counts)
-        # Offset of each pair within its node's bucket slice.
-        first_of_node = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total, dtype=np.int64) - first_of_node
-        q_idx = self._bucket_queries[np.repeat(starts, counts) + within]
-        return q_idx, n_idx
+        counts[np.isnan(positions[:, 0]) | np.isnan(positions[:, 1])] = 0
+        nodes = np.flatnonzero(counts)
+        counts = counts[nodes]
+        ends = np.cumsum(counts)
+        n_idx = np.repeat(nodes, counts)
+        # Pair p of a node whose pairs start at ends - counts reads its
+        # bucket slice at starts + (p - (ends - counts)).
+        slots = np.repeat(starts[nodes] - (ends - counts), counts)
+        slots += np.arange(slots.size)
+        return self._bucket_queries[slots], n_idx
+
+    def _contained_pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate pairs that pass the exact half-open test, in order."""
+        q_idx, n_idx = self._candidate_pairs(positions)
+        x = positions[n_idx, 0]
+        y = positions[n_idx, 1]
+        rects = self.rects
+        inside = (
+            (x >= rects[q_idx, 0])
+            & (x < rects[q_idx, 2])
+            & (y >= rects[q_idx, 1])
+            & (y < rects[q_idx, 3])
+        )
+        return q_idx[inside], n_idx[inside]
 
     def evaluate(self, positions: np.ndarray, prune: bool | None = None) -> list[np.ndarray]:
-        """Per-query sorted node-id arrays — drop-in for ``evaluate_queries``."""
-        matrix = self.containment(positions, prune=prune)
-        return [np.flatnonzero(row) for row in matrix]
+        """Per-query sorted node-id arrays — drop-in for ``evaluate_queries``.
+
+        With a bucket index (``prune=None`` or ``True``) this is sparse:
+        exact containment runs on the cell-bucket candidate pairs only,
+        and no ``(Q, N)`` matrix is built.  Candidates come out grouped
+        by node in ascending order, so a *stable* sort by query leaves
+        each query's ids ascending; one ``bincount`` then splits the
+        survivors per query.  ``prune=False`` (or a kernel without
+        bounds) takes the dense matrix path.
+        """
+        positions = np.asarray(positions, dtype=np.float64)
+        if prune is None:
+            prune = self._bucket_offsets is not None
+        if not prune:
+            matrix = self.containment(positions, prune=False)
+            return [np.flatnonzero(row) for row in matrix]
+        if self._bucket_offsets is None:
+            raise ValueError("kernel was built without bounds; cannot prune")
+        if not self.queries:
+            return []
+        q_idx, n_idx = self._contained_pairs(positions)
+        # Stable sorts of <= 16-bit integers are radix sorts in numpy.
+        by_query = q_idx.astype(np.min_scalar_type(len(self.queries)))
+        n_idx = n_idx[np.argsort(by_query, kind="stable")]
+        counts = np.bincount(q_idx, minlength=len(self.queries))
+        return np.split(n_idx, np.cumsum(counts[:-1]))
 
     # ------------------------------------------------------------------
     # Accuracy measurement (the simulation hot path)

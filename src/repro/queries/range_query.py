@@ -44,8 +44,9 @@ def evaluate_queries(
 ) -> list[np.ndarray]:
     """Evaluate every query against one position snapshot.
 
-    Returns one index array per query, in query order.  This brute-force
-    helper is the reference implementation; the grid index in
-    :mod:`repro.index` provides the fast path used by the server.
+    Returns one index array per query, in query order.  This is the
+    brute-force test oracle: one full scan per query.  The server and the
+    simulation answer queries with :class:`~repro.queries.QueryEvalKernel`,
+    which tests hold to this function result for result.
     """
     return [q.evaluate(positions) for q in queries]

@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.geo import Rect
 from repro.index import CompactNodeTable, NodeTable
-from repro.queries import RangeQuery
+from repro.queries import QueryEvalKernel, RangeQuery
+from repro.queries.batch import DEFAULT_CELLS_PER_SIDE
 from repro.core.statistics_grid import StatisticsGrid
 from repro.server.queue import ArrayBoundedQueue, BoundedQueue
 
@@ -121,6 +122,7 @@ class MobileCQServer:
         self.stats_grid = (
             StatisticsGrid(bounds, stats_alpha) if stats_alpha else None
         )
+        self._query_kernel: QueryEvalKernel | None = None
         self.engine = None
         if incremental:
             from repro.cq import IncrementalCQEngine
@@ -298,10 +300,12 @@ class MobileCQServer:
     def evaluate_queries(self, t: float) -> list[np.ndarray]:
         """Result sets from the server's *believed* positions at time ``t``.
 
-        With ``incremental=True``, results come from the incremental CQ
-        engine: believed positions are reconciled via result deltas (the
-        engine's work counters then measure re-evaluation cost); the
-        answers are identical to the default full scan.
+        One grid-pruned batch evaluates every query (see
+        :meth:`QueryEvalKernel.evaluate`); each result is ascending node
+        ids.  With ``incremental=True``, results come from the
+        incremental CQ engine instead: believed positions are reconciled
+        via result deltas (the engine's work counters then measure
+        re-evaluation cost); the answers are identical.
         """
         believed = self.table.predict(t)
         if self.engine is not None:
@@ -310,15 +314,31 @@ class MobileCQServer:
                 np.array(sorted(self.engine.result(q.query_id)), dtype=np.int64)
                 for q in self.queries
             ]
-        # Evaluate on the known subset directly: never-seen nodes predict
-        # to NaN, and substituting a sentinel for them (the old approach)
-        # lets a degenerate open-ended query rect (max = inf) match nodes
-        # the server has no position for.
-        known_idx = np.flatnonzero(self.table.known_mask)
-        believed_known = believed[known_idx]
-        return [
-            known_idx[query.evaluate(believed_known)] for query in self.queries
-        ]
+        # Never-seen nodes predict to NaN, which no rectangle contains
+        # (a sentinel such as inf would match an open-ended query rect).
+        return self._kernel().evaluate(believed)
+
+    def _kernel(self) -> QueryEvalKernel:
+        """The grid-pruned batch evaluator of the installed queries.
+
+        Built on first use, bucketed at the statistics grid's resolution
+        (the kernel default without a grid).  It is never pickled:
+        per-shard servers cross a process pool every tick but never
+        evaluate queries, so they never pay for building or shipping it.
+        """
+        if self._query_kernel is None:
+            cells = (
+                self.stats_grid.alpha
+                if self.stats_grid is not None
+                else DEFAULT_CELLS_PER_SIDE
+            )
+            self._query_kernel = QueryEvalKernel(self.queries, self.bounds, cells)
+        return self._query_kernel
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_query_kernel"] = None
+        return state
 
     def take_load_measurement(self) -> LoadMeasurement:
         """Close the current measurement period and return its statistics.

@@ -67,7 +67,7 @@ from repro.faults import FaultInjector
 from repro.geo import Rect
 from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
-from repro.queries import RangeQuery
+from repro.queries import QueryEvalKernel, RangeQuery
 from repro.sanitize import rng_discipline
 from repro.server.base_station import BaseStation, place_uniform_stations
 from repro.server.cq_server import MobileCQServer
@@ -556,6 +556,8 @@ class ShardedLiraSystem:
         self.last_rebalance: RebalanceReport | None = None
         self.last_tick_seconds = 0.0
         self.current_time = 0.0
+        # Built on the first evaluate_queries call; stays coordinator-side.
+        self._query_kernel: QueryEvalKernel | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -946,15 +948,23 @@ class ShardedLiraSystem:
     # ------------------------------------------------------------------
 
     def evaluate_queries(self, t: float | None = None) -> list[np.ndarray]:
-        """Current CQ result sets, merged across shards (global ids)."""
+        """Current CQ result sets (global ids, ascending).
+
+        Each shard's known rows are scattered into one NaN-initialised
+        global believed array, which one coordinator-held kernel
+        evaluates in a single grid-pruned batch — the same call on the
+        same floats as :meth:`MobileCQServer.evaluate_queries`, hence
+        bit-identical to :class:`LiraSystem` at ``n_shards=1``.
+        """
         when = self.current_time if t is None else t
-        parts: list[list[np.ndarray]] = [[] for _ in self.queries]
+        believed = np.full((self.n_nodes, 2), np.nan)
         for shard in self.shards:
             assert shard.server is not None
-            ids_known, believed = shard.server.table.predict_known(when)  # type: ignore[union-attr]
-            for q_index, query in enumerate(self.queries):
-                parts[q_index].append(ids_known[query.evaluate(believed)])
-        return [np.sort(np.concatenate(rows)) for rows in parts]
+            ids, pos = shard.server.table.predict_known(when)  # type: ignore[union-attr]
+            believed[ids] = pos
+        if self._query_kernel is None:
+            self._query_kernel = QueryEvalKernel(self.queries, self.bounds)
+        return self._query_kernel.evaluate(believed)
 
     def owned_ids(self) -> np.ndarray:
         """Concatenated owned ids across shards (conservation checks)."""

@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Coroutine
 
 import numpy as np
@@ -222,6 +222,10 @@ class ServiceCounters:
     #: regardless of subscriber count).
     plan_frames_encoded: int = 0
     protocol_errors: int = 0
+    #: Well-formed ingest frames refused whole, by reason (see
+    #: :meth:`LiraService.ingest_defect`); also counted in
+    #: ``protocol_errors``.
+    ingest_rejects: dict[str, int] = field(default_factory=dict)
 
 
 class LiraService:
@@ -467,6 +471,8 @@ class LiraService:
             "delta_plans_pushed": self.counters.delta_plans_pushed,
             "plan_pushes_skipped": self.counters.plan_pushes_skipped,
             "plan_frames_encoded": self.counters.plan_frames_encoded,
+            "protocol_errors": self.counters.protocol_errors,
+            "ingest_rejects": dict(self.counters.ingest_rejects),
             "plan_epoch": self.plan.epoch if self.plan is not None else 0,
             "plan_broadcast_bytes": self.network.total_broadcast_bytes,
             "subscribers": len(self._subscribers),
@@ -674,6 +680,33 @@ class LiraService:
             encode_frame("error", {"message": f"unknown frame kind {frame.kind!r}"})
         )
 
+    def ingest_defect(
+        self,
+        node_ids: np.ndarray,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        times: np.ndarray | None,
+    ) -> str | None:
+        """Why a shape-checked ingest batch must be refused, or ``None``.
+
+        The node table indexes by id, so an id outside ``[0, n_nodes)``
+        either wraps (numpy negative indexing overwrites another node's
+        row) or raises inside the service pump; a non-finite report
+        poisons the believed position or its timestamp.  Either way the
+        whole frame is refused before anything is mutated.
+        """
+        if node_ids.size and (
+            int(node_ids.min()) < 0 or int(node_ids.max()) >= self.n_nodes
+        ):
+            return "node_id_out_of_range"
+        if not np.isfinite(positions).all():
+            return "non_finite_position"
+        if not np.isfinite(velocities).all():
+            return "non_finite_velocity"
+        if times is not None and not np.isfinite(times).all():
+            return "non_finite_time"
+        return None
+
     def _handle_ingest(self, frame: Frame, writer: asyncio.StreamWriter) -> None:
         recv_t = self.clock()
         try:
@@ -687,22 +720,37 @@ class LiraService:
             )
             return
         times = frame.arrays.get("times")
-        if positions.shape != (node_ids.size, 2) or velocities.shape != (
-            node_ids.size,
-            2,
+        if times is not None:
+            times = np.asarray(times, dtype=np.float64)
+        n = node_ids.size
+        if (
+            node_ids.shape != (n,)
+            or positions.shape != (n, 2)
+            or velocities.shape != (n, 2)
+            or (times is not None and times.shape != (n,))
         ):
             self.counters.protocol_errors += 1
             writer.write(
                 encode_frame("error", {"message": "ingest array shape mismatch"})
             )
             return
-        result = self.apply_ingest(
-            recv_t,
-            node_ids,
-            positions,
-            velocities,
-            times=np.asarray(times, dtype=np.float64) if times is not None else None,
-        )
+        reason = self.ingest_defect(node_ids, positions, velocities, times)
+        if reason is not None:
+            self.counters.protocol_errors += 1
+            rejects = self.counters.ingest_rejects
+            rejects[reason] = rejects.get(reason, 0) + 1
+            writer.write(
+                encode_frame(
+                    "error",
+                    {
+                        "message": f"ingest frame rejected: {reason}",
+                        "reason": reason,
+                        "seq": frame.meta.get("seq"),
+                    },
+                )
+            )
+            return
+        result = self.apply_ingest(recv_t, node_ids, positions, velocities, times=times)
         meta = {
             "seq": frame.meta.get("seq"),
             "send_t": frame.meta.get("send_t"),

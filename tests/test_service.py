@@ -409,6 +409,133 @@ class TestSocketProtocol:
         asyncio.run(scenario())
 
 
+class _CollectingWriter:
+    """Stands in for a StreamWriter: records every frame written."""
+
+    def __init__(self):
+        self.frames = []
+
+    def write(self, data: bytes) -> None:
+        self.frames.append(decode_frame(data))
+
+    def is_closing(self) -> bool:
+        return False
+
+
+class TestIngestValidation:
+    """Malformed ingest frames are refused whole, before any mutation."""
+
+    @staticmethod
+    def _send(service, ids, pos, vel, times=None):
+        arrays = {"node_ids": ids, "positions": pos, "velocities": vel}
+        if times is not None:
+            arrays["times"] = times
+        frame = decode_frame(encode_frame("ingest", {"seq": 9}, arrays))
+        writer = _CollectingWriter()
+        service._dispatch(frame, writer)
+        return writer.frames
+
+    def _bootstrapped(self):
+        service = ServiceConfig().build(clock=ManualClock(start=10.0))
+        n = service.n_nodes
+        ids, pos, vel = make_batch(n, seed=4)
+        service.apply_ingest(10.0, ids, pos, vel)
+        service.pump_once(60.0)
+        assert service.server.table.updates_applied == n
+        return service
+
+    def test_negative_id_does_not_overwrite_a_wrapped_node(self):
+        service = self._bootstrapped()
+        n = service.n_nodes
+        before = service.server.table.predict(11.0)
+        ids = np.array([5, -3], dtype=np.int64)
+        pos = np.array([[1.0, 1.0], [2.0, 2.0]])
+        frames = self._send(service, ids, pos, np.zeros((2, 2)))
+        service.pump_once(60.0)
+        assert [f.kind for f in frames] == ["error"]
+        assert frames[0].meta["reason"] == "node_id_out_of_range"
+        assert frames[0].meta["seq"] == 9
+        # Node n-3 (and node 5, in the same frame) keep their positions.
+        np.testing.assert_array_equal(service.server.table.predict(11.0), before)
+        assert service.server.queue.lifetime_enqueued == n
+        assert service.stats_meta()["ingest_rejects"] == {"node_id_out_of_range": 1}
+
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            ("positions", "non_finite_position"),
+            ("velocities", "non_finite_velocity"),
+            ("times", "non_finite_time"),
+        ],
+    )
+    def test_non_finite_reports_are_rejected(self, field, reason):
+        service = self._bootstrapped()
+        before = service.server.table.predict(11.0)
+        ids, pos, vel = make_batch(4, seed=5)
+        times = np.full(4, 10.5)
+        bad = {"positions": pos, "velocities": vel, "times": times}[field]
+        bad.flat[1] = np.nan if field != "velocities" else np.inf
+        frames = self._send(service, ids, pos, vel, times)
+        service.pump_once(60.0)
+        assert [f.kind for f in frames] == ["error"]
+        assert frames[0].meta["reason"] == reason
+        np.testing.assert_array_equal(service.server.table.predict(11.0), before)
+        meta = service.stats_meta()
+        assert meta["ingest_rejects"] == {reason: 1}
+        assert meta["protocol_errors"] == 1
+
+    def test_times_shape_mismatch_is_an_error(self):
+        service = make_service()
+        ids, pos, vel = make_batch(4)
+        frames = self._send(service, ids, pos, vel, np.zeros(3))
+        assert [f.kind for f in frames] == ["error"]
+        assert "shape" in frames[0].meta["message"]
+
+    def test_valid_frame_still_acks(self):
+        service = make_service()
+        ids, pos, vel = make_batch(4)
+        frames = self._send(service, ids, pos, vel)
+        service.pump_once(1.0)
+        service._complete_acks()
+        assert service.counters.ingest_rejects == {}
+        assert service.counters.acks_deferred + service.counters.acks_sent >= 1
+
+    def test_out_of_range_id_gets_an_error_frame_over_the_socket(self, tmp_path):
+        sock = str(tmp_path / "svc3.sock")
+
+        async def scenario():
+            cfg = ServiceConfig(n_nodes=16, side=1000.0, station_radius=800.0, l=4, alpha=8)
+            service = cfg.build()
+            await service.start(path=sock)
+            try:
+                reader, writer = await asyncio.open_unix_connection(sock)
+                ids, pos, vel = make_batch(3)
+                ids[2] = 16
+                writer.write(
+                    encode_frame(
+                        "ingest",
+                        {"seq": 4},
+                        {"node_ids": ids, "positions": pos, "velocities": vel},
+                    )
+                )
+                await writer.drain()
+                err = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert err.kind == "error"
+                assert err.meta["reason"] == "node_id_out_of_range"
+                # The connection and the pump survive the bad frame.
+                writer.write(encode_frame("ping", {"seq": 5}))
+                await writer.drain()
+                pong = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                assert pong.kind == "pong"
+                assert all(not task.done() for task in service._tasks)
+                assert service.server.queue.lifetime_enqueued == 0
+                writer.close()
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+
 class TestBackgroundTaskSupervision:
     """A background loop that dies must be reported, and stop() must
     still shut the service down cleanly (regression for the bare
