@@ -25,6 +25,8 @@ class NodeTable:
         self._known = np.zeros(n_nodes, dtype=bool)
         self.updates_applied = 0
         self.updates_discarded = 0
+        #: Always 0: every id has a row, so no report is ever orphaned.
+        self.updates_orphaned = 0
 
     def ingest(
         self,

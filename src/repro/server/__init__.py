@@ -9,6 +9,7 @@ from repro.server.base_station import (
     place_density_dependent_stations,
     place_uniform_stations,
 )
+from repro.server.core import LiraCore, SystemStats
 from repro.server.cq_server import LoadMeasurement, MobileCQServer, UpdateMessage
 from repro.server.node_engine import (
     NODE_ENGINES,
@@ -24,11 +25,12 @@ from repro.server.protocol import (
 from repro.server.queue import ArrayBoundedQueue, BoundedQueue
 from repro.server.sharded import LiraShard, RebalanceReport, ShardedLiraSystem
 from repro.server.sharding import ShardRouter, hrw_shards
-from repro.server.system import LiraSystem, SystemStats
+from repro.server.system import LiraSystem
 
 __all__ = [
     "ArrayBoundedQueue",
     "BaseStationNetwork",
+    "LiraCore",
     "LiraShard",
     "LiraSystem",
     "RebalanceReport",

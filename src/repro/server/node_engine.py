@@ -40,7 +40,7 @@ the conservative default Δ⊢ exactly where the object path does.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -535,8 +535,11 @@ class VectorNodeEngine:
         return thresholds
 
     # ------------------------------------------------------------------
-    # Row surgery (cross-shard node handoff)
+    # Row surgery (cross-shard node handoff) and pool-tick state
     # ------------------------------------------------------------------
+
+    #: The per-node state arrays, stored as ``_<name>``.
+    _NODE_ARRAYS = ("station_slot", "installed_version", "handoffs", "installs")
 
     def extract_rows(self, rows: np.ndarray) -> dict[str, np.ndarray]:
         """Remove the given row indices and return their state.
@@ -547,29 +550,35 @@ class VectorNodeEngine:
         a single global engine would hold.  ``total_handoffs`` stays —
         it counts events observed while the rows lived here.
         """
-        state = {
-            "station_slot": self._station_slot[rows].copy(),
-            "installed_version": self._installed_version[rows].copy(),
-            "handoffs": self._handoffs[rows].copy(),
-            "installs": self._installs[rows].copy(),
-        }
-        self._station_slot = np.delete(self._station_slot, rows)
-        self._installed_version = np.delete(self._installed_version, rows)
-        self._handoffs = np.delete(self._handoffs, rows)
-        self._installs = np.delete(self._installs, rows)
+        state = {}
+        for name in self._NODE_ARRAYS:
+            array = getattr(self, "_" + name)
+            state[name] = array[rows].copy()
+            setattr(self, "_" + name, np.delete(array, rows))
         self.n_nodes = int(self._station_slot.size)
         return state
 
     def insert_rows(self, at: np.ndarray, state: dict[str, np.ndarray]) -> None:
         """Insert rows (from :meth:`extract_rows`) before indices ``at``."""
-        self._station_slot = np.insert(
-            self._station_slot, at, state["station_slot"]
-        )
-        self._installed_version = np.insert(
-            self._installed_version, at, state["installed_version"]
-        )
-        self._handoffs = np.insert(self._handoffs, at, state["handoffs"])
-        self._installs = np.insert(self._installs, at, state["installs"])
+        for name in self._NODE_ARRAYS:
+            setattr(self, "_" + name, np.insert(getattr(self, "_" + name), at, state[name]))
+        self.n_nodes = int(self._station_slot.size)
+
+    def tick_state(self) -> dict[str, Any]:
+        """The state a pool tick ships to a worker and back.
+
+        The per-node arrays and the hand-off counter only: the raster
+        cache stays behind (a worker's engine rebuilds what it needs).
+        """
+        state: dict[str, Any] = {name: getattr(self, "_" + name) for name in self._NODE_ARRAYS}
+        state["total_handoffs"] = self.total_handoffs
+        return state
+
+    def load_tick_state(self, state: dict[str, Any]) -> None:
+        """Adopt a :meth:`tick_state` (row count included)."""
+        for name in self._NODE_ARRAYS:
+            setattr(self, "_" + name, state[name])
+        self.total_handoffs = int(state["total_handoffs"])
         self.n_nodes = int(self._station_slot.size)
 
     # ------------------------------------------------------------------

@@ -40,10 +40,12 @@ Budget coordination
     and the whole step is an arithmetic identity.
 
 Equivalence contract
-    With ``n_shards=1`` every seam — fault injection included — runs
-    operation-for-operation the code of :class:`LiraSystem`, and the
-    output (SystemStats, plans, thresholds, query results, history) is
-    bit-identical.  With ``n_shards>1`` runs are bit-reproducible per
+    Each shard is a :class:`~repro.server.core.LiraCore`, the same core
+    :class:`LiraSystem` is, and every tick runs the one kernel
+    :func:`~repro.server.core.run_tick` with the same fault seams.  With
+    ``n_shards=1`` the output (SystemStats, plans, thresholds, query
+    results, history) is therefore bit-identical to :class:`LiraSystem`,
+    fault injection included.  With ``n_shards>1`` runs are bit-reproducible per
     seed, and the process-pool execution path (``n_workers>1``) is
     bit-identical to the in-process path: shards advance in lockstep,
     one tick per pool round, with handoffs synchronized at tick
@@ -55,13 +57,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
-from repro.core.plan import SheddingPlan, clamp_thresholds
+from repro.core import LiraConfig
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
@@ -70,11 +70,19 @@ from repro.motion import DeadReckoningFleet
 from repro.queries import QueryEvalKernel, RangeQuery
 from repro.sanitize import rng_discipline
 from repro.server.base_station import BaseStation, place_uniform_stations
+from repro.server.core import (
+    LiraCore,
+    SystemStats,
+    build_stats,
+    count_clean_uplink,
+    injecting,
+    run_tick,
+    tick_faults,
+)
 from repro.server.cq_server import MobileCQServer
 from repro.server.node_engine import StationAssigner, VectorNodeEngine
 from repro.server.protocol import BaseStationNetwork, RegionSubset
 from repro.server.sharding import ShardRouter
-from repro.server.system import POLICIES, SystemStats
 from repro.timing import Stopwatch
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -134,7 +142,7 @@ class RebalanceReport:
     budgets: np.ndarray
 
 
-class LiraShard:
+class LiraShard(LiraCore):
     """One shard's complete vertical slice of the deployment."""
 
     def __init__(
@@ -151,34 +159,34 @@ class LiraShard:
         policy_seed: int,
         assigner: StationAssigner,
         downlink: FaultInjector | None = None,
+        policy: str = "lira",
     ) -> None:
+        # The server arrives with the node partition, at adopt().
+        super().__init__(
+            bounds,
+            config,
+            reduction,
+            server=None,
+            network=(
+                BaseStationNetwork(stations, downlink=downlink) if stations else None
+            ),
+            queue_capacity=queue_capacity,
+            policy=policy,
+            adaptive_throttle=adaptive_throttle,
+        )
         self.shard_id = shard_id
         self.stations = stations
-        self.bounds = bounds
-        self.config = config
         self.queries = queries
         self.service_rate = service_rate
         self.queue_capacity = queue_capacity
         self.assigner = assigner
-        self.network = (
-            BaseStationNetwork(stations, downlink=downlink) if stations else None
-        )
-        self.shedder = LiraLoadShedder(
-            config, reduction, queue_capacity=queue_capacity, engine="vector"
-        )
-        if adaptive_throttle:
-            self.shedder.use_adaptive_throttle()
         # Shard 0 reuses the exact LiraSystem stream (K=1 bit-identity);
         # other shards get independent deterministic streams.
         self._policy_rng = np.random.default_rng(
             policy_seed if shard_id == 0 else [policy_seed, shard_id]
         )
-        self._trivial_plan_cache: SheddingPlan | None = None
         self.last_tick_seconds = 0.0
-        # Placeholders until the coordinator's bootstrap() adopts the
-        # initial node partition.
-        self.server: MobileCQServer | None = None
-        self.engine: VectorNodeEngine | None = None
+        self.node_engine: VectorNodeEngine | None = None
         self.fleet: DeadReckoningFleet | None = None
 
     @property
@@ -186,6 +194,17 @@ class LiraShard:
         """Owned global node ids, ascending (the table's row order)."""
         assert self.server is not None
         return self.server.table.ids  # type: ignore[union-attr]
+
+    def owned_rows(self, *arrays: np.ndarray) -> tuple:
+        """``(ids, *rows)``: each global-id-indexed array's owned rows.
+
+        A shard owning every node reads the arrays as they are (row ==
+        global id) and returns ``ids=None``: the kernel's owns-all path.
+        """
+        ids = self.ids
+        if ids.size == len(arrays[0]):
+            return (None, *arrays)
+        return (ids, *(array[ids] for array in arrays))
 
     def adopt(self, ids: np.ndarray, directory: Any) -> None:
         """Create the per-node state for the initial owned partition."""
@@ -198,24 +217,10 @@ class LiraShard:
             batch_ingest=True,
             node_ids=ids,
         )
-        self.engine = VectorNodeEngine(
+        self.node_engine = VectorNodeEngine(
             int(ids.size), directory, self.bounds, assigner=self.assigner
         )
         self.fleet = DeadReckoningFleet(int(ids.size))
-
-    def trivial_plan(self) -> SheddingPlan:
-        """One region covering the bounds at Δ⊢ (Random Drop regime)."""
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
-            )
-        return self._trivial_plan_cache
 
     # ------------------------------------------------------------------
     # Row surgery (handoff)
@@ -223,12 +228,12 @@ class LiraShard:
 
     def extract_nodes(self, node_ids: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
         """Remove the given (ascending) global ids; return their state."""
-        assert self.server is not None and self.engine is not None
+        assert self.server is not None and self.node_engine is not None
         assert self.fleet is not None
         table = self.server.table
         rows = table.rows_of(node_ids)  # type: ignore[union-attr]
         return {
-            "engine": self.engine.extract_rows(rows),
+            "engine": self.node_engine.extract_rows(rows),
             "fleet": self.fleet.extract_rows(rows),
             "table": table.extract_rows(rows),  # type: ignore[union-attr]
         }
@@ -237,10 +242,10 @@ class LiraShard:
         self, node_ids: np.ndarray, state: dict[str, dict[str, np.ndarray]]
     ) -> None:
         """Adopt nodes extracted from another shard (ascending ids)."""
-        assert self.server is not None and self.engine is not None
+        assert self.server is not None and self.node_engine is not None
         assert self.fleet is not None
         at = np.searchsorted(self.ids, node_ids)
-        self.engine.insert_rows(at, state["engine"])
+        self.node_engine.insert_rows(at, state["engine"])
         self.fleet.insert_rows(at, state["fleet"])
         self.server.table.insert_rows(at, node_ids, state["table"])  # type: ignore[union-attr]
 
@@ -265,79 +270,6 @@ def _concat_states(
         }
         for component, arrays in first.items()
     }
-
-
-def _run_shard_tick(
-    *,
-    shard_id: int,
-    engine: VectorNodeEngine,
-    fleet: DeadReckoningFleet,
-    server: MobileCQServer,
-    ids: np.ndarray | None,
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    t: float,
-    dt: float,
-    substeps: int,
-    default_delta: float,
-    active: np.ndarray | None,
-    rate_factor: float,
-    admit: float,
-    admit_rng: np.random.Generator,
-    station_shard: np.ndarray | None,
-    uplink: Callable[..., Any] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One shard's data-path tick: the single kernel both execution
-    paths (in-process and pool worker) run, so they are bit-identical.
-
-    ``ids=None`` is the owns-all fast path (no gather happened; row
-    index == global id), which at ``n_shards=1`` makes this function
-    operation-for-operation :meth:`LiraSystem.tick`'s data path.
-    Returns ``(sender_ids, sender_pos, sender_vel, departure_ids,
-    departure_dst)`` — senders in *global* ids for history recording,
-    departures for the coordinator's next-tick handoff.
-    """
-    thresholds = engine.compute_thresholds(positions, active, default=default_delta)
-    if station_shard is not None:
-        # Post-update slots: nodes now served by a foreign station
-        # depart at the end of this tick.
-        dest = station_shard[engine._station_slot]
-        moved = np.flatnonzero(dest != shard_id)
-        if moved.size:
-            departure_ids = ids[moved] if ids is not None else moved.copy()
-            departure_dst = dest[moved]
-        else:
-            departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
-    else:
-        departure_ids, departure_dst = _EMPTY_I64, _EMPTY_I64
-    fleet.set_thresholds(thresholds)
-    senders = fleet.observe(t, positions, velocities)
-    sender_ids = ids[senders] if ids is not None else senders
-    sender_pos = positions[senders]
-    sender_vel = velocities[senders]
-    if uplink is not None:
-        u_ids, u_pos, u_vel, u_times = uplink(t, sender_ids, sender_pos, sender_vel)
-    else:
-        u_ids, u_pos, u_vel, u_times = sender_ids, sender_pos, sender_vel, None
-    # Slice-based substep chunking, exactly LiraSystem.tick's rule.
-    n, k = int(u_ids.size), substeps
-    base, extra = divmod(n, k)
-    lo = 0
-    for c in range(k):
-        hi = lo + base + (1 if c < extra else 0)
-        chunk = slice(lo, hi)
-        lo = hi
-        server.receive_reports(
-            t,
-            u_ids[chunk],
-            u_pos[chunk],
-            u_vel[chunk],
-            times=u_times[chunk] if u_times is not None else None,
-            admit_fraction=admit,
-            admit_rng=admit_rng if admit < 1.0 else None,
-        )
-        server.process(dt / substeps, rate_factor=rate_factor)
-    return sender_ids, sender_pos, sender_vel, departure_ids, departure_dst
 
 
 # ----------------------------------------------------------------------
@@ -365,71 +297,24 @@ def _pool_tick_job(payload: tuple) -> tuple:
     no worker affinity is assumed: any worker can tick any shard on any
     round and the result is bit-identical to the in-process path.
     """
-    (
-        shard_id,
-        ids,
-        engine_state,
-        fleet,
-        server,
-        subsets,
-        positions,
-        velocities,
-        t,
-        dt,
-        substeps,
-        default_delta,
-        admit,
-        admit_rng,
-        station_shard,
-    ) = payload
+    engine_state, subsets, kernel_args = payload
     assert _WORKER_ASSIGNER is not None and _WORKER_BOUNDS is not None
     assert _WORKER_STATIONS is not None
-    directory = _SnapshotDirectory(_WORKER_STATIONS, subsets)
-    n_rows = int(engine_state["station_slot"].size)
     engine = VectorNodeEngine(
-        n_rows, directory, _WORKER_BOUNDS, assigner=_WORKER_ASSIGNER
+        0,
+        _SnapshotDirectory(_WORKER_STATIONS, subsets),
+        _WORKER_BOUNDS,
+        assigner=_WORKER_ASSIGNER,
     )
-    engine._station_slot = engine_state["station_slot"]
-    engine._installed_version = engine_state["installed_version"]
-    engine._handoffs = engine_state["handoffs"]
-    engine._installs = engine_state["installs"]
-    engine.total_handoffs = int(engine_state["total_handoffs"])
+    engine.load_tick_state(engine_state)
     with Stopwatch() as watch:
-        sender_ids, sender_pos, sender_vel, dep_ids, dep_dst = _run_shard_tick(
-            shard_id=shard_id,
-            engine=engine,
-            fleet=fleet,
-            server=server,
-            ids=ids,
-            positions=positions,
-            velocities=velocities,
-            t=t,
-            dt=dt,
-            substeps=substeps,
-            default_delta=default_delta,
-            active=None,
-            rate_factor=1.0,
-            admit=admit,
-            admit_rng=admit_rng,
-            station_shard=station_shard,
-        )
-    out_state = {
-        "station_slot": engine._station_slot,
-        "installed_version": engine._installed_version,
-        "handoffs": engine._handoffs,
-        "installs": engine._installs,
-        "total_handoffs": engine.total_handoffs,
-    }
+        out = run_tick(engine=engine, **kernel_args)
     return (
-        out_state,
-        fleet,
-        server,
-        sender_ids,
-        sender_pos,
-        sender_vel,
-        dep_ids,
-        dep_dst,
-        admit_rng,
+        engine.tick_state(),
+        kernel_args["fleet"],
+        kernel_args["server"],
+        kernel_args["admit_rng"],
+        out,
         watch.elapsed,
     )
 
@@ -437,11 +322,11 @@ def _pool_tick_job(payload: tuple) -> tuple:
 class ShardedLiraSystem:
     """K-shard LIRA deployment with a thin global-budget coordinator.
 
-    Mirrors :class:`~repro.server.system.LiraSystem`'s driving API
-    (``bootstrap`` → ``adapt`` → ``tick`` … / ``stats`` /
-    ``evaluate_queries``) and is bit-identical to it at ``n_shards=1``.
-    ``bootstrap`` must run before ``adapt``/``tick``: the initial node
-    partition is derived from the bootstrap positions.
+    Drives the same core as :class:`~repro.server.system.LiraSystem`
+    with the same API (``bootstrap`` → ``adapt`` → ``tick`` … /
+    ``stats`` / ``evaluate_queries``) and is bit-identical to it at
+    ``n_shards=1``.  ``bootstrap`` must run before ``adapt``/``tick``:
+    the initial node partition is derived from the bootstrap positions.
 
     Args:
         n_shards: K, the number of spatial shards.
@@ -479,8 +364,6 @@ class ShardedLiraSystem:
         shard_salt: int = 0,
         assigner_resolution: int | None = None,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if rebalance_every < 1:
@@ -493,8 +376,8 @@ class ShardedLiraSystem:
         self.faults = faults
         self.n_shards = n_shards
         self.rebalance_every = rebalance_every
-        self._faults_null = faults is not None and faults.spec.is_null
-        if faults is not None and not self._faults_null and n_shards > 1:
+        inject = injecting(faults)
+        if inject is not None and n_shards > 1:
             raise NotImplementedError(
                 "fault injection is supported at n_shards=1 only"
             )
@@ -507,7 +390,6 @@ class ShardedLiraSystem:
             salt=shard_salt,
             assigner_resolution=assigner_resolution,
         )
-        inject = faults is not None and not self._faults_null
         self.shards: list[LiraShard] = [
             LiraShard(
                 k,
@@ -521,7 +403,8 @@ class ShardedLiraSystem:
                 adaptive_throttle,
                 policy_seed,
                 self.router.assigner,
-                downlink=faults if inject and k == 0 else None,
+                downlink=inject if k == 0 else None,
+                policy=policy,
             )
             for k in range(n_shards)
         ]
@@ -566,7 +449,7 @@ class ShardedLiraSystem:
     def bootstrap(self, positions: np.ndarray, velocities: np.ndarray) -> None:
         """Register the population and derive the initial partition.
 
-        Mirrors :meth:`LiraSystem.bootstrap` (out-of-band registration,
+        Like :meth:`LiraSystem.bootstrap` (out-of-band registration,
         not steady-state load); node→shard ownership comes from the
         serving station of each bootstrap position.
         """
@@ -579,9 +462,7 @@ class ShardedLiraSystem:
         for k, shard in enumerate(self.shards):
             ids_k = np.flatnonzero(owner == k).astype(np.int64)
             shard.adopt(ids_k, self.directory)
-            owns_all = ids_k.size == self.n_nodes
-            pos_k = positions if owns_all else positions[ids_k]
-            vel_k = velocities if owns_all else velocities[ids_k]
+            _, pos_k, vel_k = shard.owned_rows(positions, velocities)
             assert shard.fleet is not None and shard.server is not None
             all_local = shard.fleet.observe(t, pos_k, vel_k)
             shard.server.table.ingest(
@@ -628,44 +509,18 @@ class ShardedLiraSystem:
         # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
         # adaptation path raises instead of silently de-seeding runs.
         with rng_discipline():
-            self._adapt_impl(positions, speeds)
-
-    def _adapt_impl(self, positions: np.ndarray, speeds: np.ndarray) -> None:
-        measurements = []
-        for shard in self.shards:
-            assert shard.server is not None
-            measurement = shard.server.take_load_measurement()
-            measurements.append(measurement)
-            if measurement.period > 0:
-                shard.shedder.observe_load(
-                    measurement.arrival_rate, shard.server.service_rate
-                )
-        self._adapt_count += 1
-        if (
-            self.n_shards > 1
-            and self._adaptive
-            and self._adapt_count % self.rebalance_every == 0
-        ):
-            self._rebalance(measurements)
-        for shard in self.shards:
-            if shard.network is None:
-                continue
-            if self.policy == "random-drop":
-                plan = shard.trivial_plan()
-            else:
-                ids = shard.ids
-                owns_all = ids.size == self.n_nodes
-                pos_k = positions if owns_all else positions[ids]
-                spd_k = speeds if owns_all else speeds[ids]
-                grid = StatisticsGrid.from_snapshot(
-                    self.bounds,
-                    self.config.resolved_alpha,
-                    pos_k,
-                    spd_k,
-                    self.queries,
-                )
-                plan = shard.shedder.adapt(grid)
-            shard.network.install_plan(plan, t=self.current_time)
+            measurements = [shard.observe_load() for shard in self.shards]
+            self._adapt_count += 1
+            if (
+                self.n_shards > 1
+                and self._adaptive
+                and self._adapt_count % self.rebalance_every == 0
+            ):
+                self._rebalance(measurements)
+            for shard in self.shards:
+                if shard.network is not None:
+                    _, pos_k, spd_k = shard.owned_rows(positions, speeds)
+                    shard.install(shard.plan_for(pos_k, spd_k), self.current_time)
         self._plan_installed = True
 
     def _rebalance(self, measurements: list) -> None:
@@ -717,37 +572,57 @@ class ShardedLiraSystem:
         if not self._plan_installed:
             raise RuntimeError("call adapt() before the first tick()")
         self.current_time = t
-        faults = self.faults
-        inject = faults is not None and not self._faults_null
-        active = None
-        rate_factor = 1.0
         with Stopwatch() as total_watch:
-            if inject:
-                assert faults is not None
-                network = self.shards[0].network
-                assert network is not None
-                network.deliver_pending(t)
-                active = faults.churn_step(self.n_nodes)
-                rate_factor = faults.service_factor(t)
+            # Faults only inject at K=1, where shard 0 holds the network.
+            active, rate_factor, uplink = tick_faults(
+                self.faults, self.shards[0].network, t, self.n_nodes
+            )
             self._apply_handoffs()
             if self.n_workers > 1:
                 total_sent = self._tick_pooled(t, positions, velocities, dt)
             else:
                 total_sent = self._tick_serial(
-                    t,
-                    positions,
-                    velocities,
-                    dt,
-                    active,
-                    rate_factor,
-                    faults if inject else None,
+                    t, positions, velocities, dt, active, rate_factor, uplink
                 )
-            if not inject and faults is not None:
-                counters = faults.counters
-                counters.uplink_sent += total_sent
-                counters.uplink_delivered += total_sent
+            count_clean_uplink(self.faults, total_sent)
         self.last_tick_seconds = total_watch.elapsed
         return total_sent
+
+    def _kernel_args(
+        self,
+        shard: LiraShard,
+        t: float,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        dt: float,
+    ) -> dict[str, Any]:
+        """:func:`run_tick` arguments for one shard, bar its engine.
+
+        The owned-row gather is shard work (a real shard's ingest would
+        receive exactly these rows), so callers time it with the shard.
+        """
+        ids, pos_k, vel_k = shard.owned_rows(positions, velocities)
+        return dict(
+            fleet=shard.fleet,
+            server=shard.server,
+            positions=pos_k,
+            velocities=vel_k,
+            t=t,
+            dt=dt,
+            substeps=self.receive_substeps,
+            default_delta=self.config.delta_min,
+            admit=shard.admit_fraction,
+            admit_rng=shard._policy_rng,
+            ids=ids,
+            shard_id=shard.shard_id,
+            station_shard=self.router.station_shard if self.n_shards > 1 else None,
+        )
+
+    def _end_shard_tick(self, shard: LiraShard, out: tuple, seconds: float) -> int:
+        """Buffer a shard's departures and bill its time; returns reports sent."""
+        shard.last_tick_seconds = seconds + self._surgery_seconds[shard.shard_id]
+        self._pending_handoffs[shard.shard_id] = (out[3], out[4])
+        return int(out[0].size)
 
     def _tick_serial(
         self,
@@ -757,66 +632,20 @@ class ShardedLiraSystem:
         dt: float,
         active: np.ndarray | None,
         rate_factor: float,
-        inject_faults: FaultInjector | None,
+        uplink: Any,
     ) -> int:
-        station_shard = self.router.station_shard if self.n_shards > 1 else None
         total_sent = 0
         for shard in self.shards:
-            assert shard.engine is not None and shard.fleet is not None
-            assert shard.server is not None
-            admit = 1.0 if self.policy == "lira" else shard.shedder.current_z
             with Stopwatch() as watch:
-                ids = shard.ids
-                owns_all = ids.size == self.n_nodes
-                if owns_all:
-                    ids_arg, pos_k, vel_k, active_k = (
-                        None,
-                        positions,
-                        velocities,
-                        active,
-                    )
-                else:
-                    # The owned-row gather is shard work (a real shard's
-                    # ingest would receive exactly these rows), so it
-                    # counts toward the shard's tick time, not the
-                    # coordinator's.
-                    ids_arg, pos_k, vel_k, active_k = (
-                        ids,
-                        positions[ids],
-                        velocities[ids],
-                        None,
-                    )
-                (
-                    sender_ids,
-                    sender_pos,
-                    sender_vel,
-                    dep_ids,
-                    dep_dst,
-                ) = _run_shard_tick(
-                    shard_id=shard.shard_id,
-                    engine=shard.engine,
-                    fleet=shard.fleet,
-                    server=shard.server,
-                    ids=ids_arg,
-                    positions=pos_k,
-                    velocities=vel_k,
-                    t=t,
-                    dt=dt,
-                    substeps=self.receive_substeps,
-                    default_delta=self.config.delta_min,
-                    active=active_k,
+                out = run_tick(
+                    engine=shard.node_engine,
+                    active=active,
                     rate_factor=rate_factor,
-                    admit=admit,
-                    admit_rng=shard._policy_rng,
-                    station_shard=station_shard,
-                    uplink=inject_faults.uplink if inject_faults is not None else None,
+                    uplink=uplink,
+                    **self._kernel_args(shard, t, positions, velocities, dt),
                 )
-                self.history.record(t, sender_ids, sender_pos, sender_vel)
-            shard.last_tick_seconds = (
-                watch.elapsed + self._surgery_seconds[shard.shard_id]
-            )
-            self._pending_handoffs[shard.shard_id] = (dep_ids, dep_dst)
-            total_sent += int(sender_ids.size)
+                self.history.record(t, out[0], out[1], out[2])
+            total_sent += self._end_shard_tick(shard, out, watch.elapsed)
         return total_sent
 
     def _tick_pooled(
@@ -826,76 +655,26 @@ class ShardedLiraSystem:
         velocities: np.ndarray,
         dt: float,
     ) -> int:
-        station_shard = self.router.station_shard if self.n_shards > 1 else None
         subsets = self.directory.snapshot()
         payloads = []
         for shard in self.shards:
-            assert shard.engine is not None
-            ids = shard.ids
-            owns_all = ids.size == self.n_nodes
-            if owns_all:
-                ids_arg, pos_k, vel_k = None, positions, velocities
-            else:
-                ids_arg, pos_k, vel_k = ids.copy(), positions[ids], velocities[ids]
-            admit = 1.0 if self.policy == "lira" else shard.shedder.current_z
-            engine_state = {
-                "station_slot": shard.engine._station_slot,
-                "installed_version": shard.engine._installed_version,
-                "handoffs": shard.engine._handoffs,
-                "installs": shard.engine._installs,
-                "total_handoffs": shard.engine.total_handoffs,
-            }
+            assert shard.node_engine is not None
             payloads.append(
                 (
-                    shard.shard_id,
-                    ids_arg,
-                    engine_state,
-                    shard.fleet,
-                    shard.server,
+                    shard.node_engine.tick_state(),
                     subsets,
-                    pos_k,
-                    vel_k,
-                    t,
-                    dt,
-                    self.receive_substeps,
-                    self.config.delta_min,
-                    admit,
-                    shard._policy_rng,
-                    station_shard,
+                    self._kernel_args(shard, t, positions, velocities, dt),
                 )
             )
-        pool = self._ensure_pool()
-        results = list(pool.map(_pool_tick_job, payloads))
+        results = list(self._ensure_pool().map(_pool_tick_job, payloads))
         total_sent = 0
         for shard, result in zip(self.shards, results):
-            (
-                engine_state,
-                fleet,
-                server,
-                sender_ids,
-                sender_pos,
-                sender_vel,
-                dep_ids,
-                dep_dst,
-                admit_rng,
-                elapsed,
-            ) = result
-            assert shard.engine is not None
-            shard.engine._station_slot = engine_state["station_slot"]
-            shard.engine._installed_version = engine_state["installed_version"]
-            shard.engine._handoffs = engine_state["handoffs"]
-            shard.engine._installs = engine_state["installs"]
-            shard.engine.total_handoffs = int(engine_state["total_handoffs"])
-            shard.engine.n_nodes = int(engine_state["station_slot"].size)
-            shard.fleet = fleet
-            shard.server = server
-            shard._policy_rng = admit_rng
-            shard.last_tick_seconds = (
-                elapsed + self._surgery_seconds[shard.shard_id]
-            )
-            self.history.record(t, sender_ids, sender_pos, sender_vel)
-            self._pending_handoffs[shard.shard_id] = (dep_ids, dep_dst)
-            total_sent += int(sender_ids.size)
+            engine_state, fleet, server, admit_rng, out, elapsed = result
+            assert shard.node_engine is not None
+            shard.node_engine.load_tick_state(engine_state)
+            shard.fleet, shard.server, shard._policy_rng = fleet, server, admit_rng
+            self.history.record(t, out[0], out[1], out[2])
+            total_sent += self._end_shard_tick(shard, out, elapsed)
         return total_sent
 
     def _apply_handoffs(self) -> int:
@@ -986,79 +765,6 @@ class ShardedLiraSystem:
 
     def stats(self) -> SystemStats:
         """Aggregated system counters; bit-equal to LiraSystem at K=1."""
-        active_networks = [
-            (shard.network, len(shard.stations))
-            for shard in self.shards
-            if shard.network is not None
-        ]
-        if len(active_networks) == 1:
-            mean_staleness, stale_fraction = active_networks[0][0].staleness(
-                self.current_time
-            )
-        else:
-            total_stations = sum(count for _, count in active_networks)
-            mean_staleness = (
-                sum(
-                    network.staleness(self.current_time)[0] * count
-                    for network, count in active_networks
-                )
-                / total_stations
-            )
-            stale_fraction = (
-                sum(
-                    network.staleness(self.current_time)[1] * count
-                    for network, count in active_networks
-                )
-                / total_stations
-            )
-        counters = self.faults.counters if self.faults is not None else None
-        active = self.faults.active_mask if self.faults is not None else None
-        queue_length = 0
-        queue_drops = 0
-        updates_sent = 0
-        updates_processed = 0
-        broadcast_bytes = 0
-        handoffs = 0
-        admission_drops = 0
-        updates_discarded = 0
-        for shard in self.shards:
-            assert shard.server is not None and shard.fleet is not None
-            assert shard.engine is not None
-            queue_length += len(shard.server.queue)
-            queue_drops += shard.server.queue.total_dropped
-            updates_sent += shard.fleet.total_reports
-            updates_processed += shard.server.table.updates_applied
-            if shard.network is not None:
-                broadcast_bytes += shard.network.total_broadcast_bytes
-            handoffs += shard.engine.total_handoffs
-            admission_drops += shard.server.total_admission_dropped
-            updates_discarded += shard.server.table.updates_discarded
-        return SystemStats(
-            time=self.current_time,
-            z=self.current_z,
-            queue_length=queue_length,
-            queue_drops=queue_drops,
-            updates_sent=updates_sent,
-            updates_processed=updates_processed,
-            broadcast_bytes=broadcast_bytes,
-            handoffs=handoffs,
-            plan_version=max(
-                network.version for network, _ in active_networks
-            ),
-            mean_plan_staleness=mean_staleness,
-            stale_station_fraction=stale_fraction,
-            uplink_sent=counters.uplink_sent if counters else 0,
-            uplink_lost=counters.uplink_lost if counters else 0,
-            uplink_delayed=counters.uplink_delayed if counters else 0,
-            uplink_in_flight=(
-                self.faults.uplink_in_flight if self.faults is not None else 0
-            ),
-            downlink_lost=counters.downlink_lost if counters else 0,
-            downlink_delayed=counters.downlink_delayed if counters else 0,
-            admission_drops=admission_drops,
-            updates_discarded=updates_discarded,
-            slow_ticks=counters.slow_ticks if counters else 0,
-            active_nodes=(
-                int(active.sum()) if active is not None else self.n_nodes
-            ),
+        return build_stats(
+            self.current_time, self.current_z, self.shards, self.faults, self.n_nodes
         )

@@ -11,7 +11,10 @@ Wires together everything the paper's architecture diagram shows:
 plus the trajectory archive for historic/snapshot queries.  The
 simulation harness in :mod:`repro.sim` is the *measurement* loop (it
 shortcuts the protocol for speed); this class is the *systems* loop —
-every update flows through the real component path.
+every update flows through the real component path.  The server side is
+the shared :class:`~repro.server.core.LiraCore` (the sharded deployment's
+shards and the live service are cores too), and every tick runs the one
+data-path kernel :func:`~repro.server.core.run_tick`.
 
 Both wireless hops can be made imperfect by injecting a
 :class:`~repro.faults.FaultInjector` (``faults=``): update messages on
@@ -25,22 +28,27 @@ lossless deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
-from repro.core.plan import SheddingPlan, clamp_thresholds
+from repro.core import LiraConfig
 from repro.core.reduction import ReductionFunction
 from repro.faults import FaultInjector
 from repro.geo import Rect
 from repro.history import TrajectoryStore
 from repro.motion import DeadReckoningFleet
 from repro.queries import RangeQuery
-from repro.server.base_station import BaseStation, place_uniform_stations
-from repro.server.cq_server import MobileCQServer
 from repro.sanitize import rng_discipline
+from repro.server.base_station import BaseStation, place_uniform_stations
+from repro.server.core import (
+    LiraCore,
+    SystemStats,
+    build_stats,
+    count_clean_uplink,
+    injecting,
+    run_tick,
+    tick_faults,
+)
+from repro.server.cq_server import MobileCQServer
 from repro.server.node_engine import (
     NODE_ENGINES,
     ObjectNodeEngine,
@@ -48,45 +56,7 @@ from repro.server.node_engine import (
 )
 from repro.server.protocol import BaseStationNetwork, MobileNode
 
-#: Systems-loop policies: LIRA's source-actuated region-aware shedding,
-#: or the paper's Random Drop regime (every node at Δ⊢, the server
-#: admitting a random fraction z of arrivals).
-POLICIES = ("lira", "random-drop")
-
-
-@dataclass
-class SystemStats:
-    """A point-in-time summary of the running system.
-
-    The fields after ``handoffs`` are degradation-aware accounting:
-    plan-staleness ages, fault-layer loss/delay counters, and churn —
-    all zero in a lossless deployment.
-    """
-
-    time: float
-    z: float
-    queue_length: int
-    queue_drops: int
-    updates_sent: int
-    updates_processed: int
-    broadcast_bytes: int
-    handoffs: int
-    plan_version: int = 0
-    mean_plan_staleness: float = 0.0
-    stale_station_fraction: float = 0.0
-    uplink_sent: int = 0
-    uplink_lost: int = 0
-    uplink_delayed: int = 0
-    uplink_in_flight: int = 0
-    downlink_lost: int = 0
-    downlink_delayed: int = 0
-    admission_drops: int = 0
-    updates_discarded: int = 0
-    slow_ticks: int = 0
-    active_nodes: int = 0
-
-
-class LiraSystem:
+class LiraSystem(LiraCore):
     """An end-to-end LIRA deployment over a fixed node population.
 
     Drive it with :meth:`tick` (one sampling period of true positions)
@@ -130,43 +100,33 @@ class LiraSystem:
         engine: str = "vector",
         incremental: bool = False,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
         if engine not in NODE_ENGINES:
             raise ValueError(f"engine must be one of {NODE_ENGINES}")
-        self.config = config or LiraConfig(l=49, alpha=64)
-        self.bounds = bounds
+        super().__init__(
+            bounds,
+            config or LiraConfig(l=49, alpha=64),
+            reduction,
+            server=MobileCQServer(
+                bounds,
+                n_nodes,
+                queries,
+                service_rate=service_rate,
+                queue_capacity=queue_capacity,
+                batch_ingest=engine == "vector",
+            ),
+            network=BaseStationNetwork(
+                stations or place_uniform_stations(bounds, station_radius),
+                downlink=injecting(faults),
+            ),
+            queue_capacity=queue_capacity,
+            policy=policy,
+            adaptive_throttle=adaptive_throttle,
+            incremental=incremental,
+            engine=engine,
+        )
         self.n_nodes = n_nodes
-        self.policy = policy
         self.engine = engine
         self.faults = faults
-        self.server = MobileCQServer(
-            bounds,
-            n_nodes,
-            queries,
-            service_rate=service_rate,
-            queue_capacity=queue_capacity,
-            batch_ingest=engine == "vector",
-        )
-        self.incremental = incremental
-        self.shedder = LiraLoadShedder(
-            self.config,
-            reduction,
-            queue_capacity=queue_capacity,
-            engine=engine,
-            incremental=incremental,
-        )
-        if adaptive_throttle:
-            self.shedder.use_adaptive_throttle()
-        # A null-spec injector is contractually a no-op (every seam
-        # passes batches through untouched), so the tick path skips the
-        # fault seams entirely and only maintains the injector's O(1)
-        # uplink bookkeeping — zero overhead versus ``faults=None``.
-        self._faults_null = faults is not None and faults.spec.is_null
-        self.network = BaseStationNetwork(
-            stations or place_uniform_stations(bounds, station_radius),
-            downlink=faults if faults is not None and not self._faults_null else None,
-        )
         self.node_engine: ObjectNodeEngine | VectorNodeEngine
         if engine == "vector":
             self.node_engine = VectorNodeEngine(n_nodes, self.network, bounds)
@@ -175,9 +135,6 @@ class LiraSystem:
         self.fleet = DeadReckoningFleet(n_nodes)
         self.history = TrajectoryStore(n_nodes)
         self.receive_substeps = max(1, receive_substeps)
-        self._plan_installed = False
-        self._last_installed_plan: SheddingPlan | None = None
-        self._trivial_plan_cache: SheddingPlan | None = None
         self._policy_rng = np.random.default_rng(policy_seed)
         self.current_time = 0.0
 
@@ -210,77 +167,13 @@ class LiraSystem:
         self.server.table.ingest(t, all_ids, positions[all_ids], velocities[all_ids])
         self.history.record(t, all_ids, positions[all_ids], velocities[all_ids])
 
-    # ------------------------------------------------------------------
-    # Server-side control path
-    # ------------------------------------------------------------------
-
     def adapt(self, positions: np.ndarray, speeds: np.ndarray) -> None:
         """One adaptation: measure load, set z, recompute + broadcast plan."""
         # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
         # adaptation path raises instead of silently de-seeding runs.
         with rng_discipline():
-            measurement = self.server.take_load_measurement()
-            if measurement.period > 0:
-                self.shedder.observe_load(
-                    measurement.arrival_rate, self.server.service_rate
-                )
-            if self.policy == "random-drop":
-                plan = self._trivial_plan()
-            else:
-                grid = StatisticsGrid.from_snapshot(
-                    self.bounds,
-                    self.config.resolved_alpha,
-                    positions,
-                    speeds,
-                    self.server.queries,
-                )
-                plan = self.shedder.adapt(grid)
-            self._install(plan)
-            self._plan_installed = True
-
-    def _install(self, plan: SheddingPlan) -> None:
-        """Broadcast a new plan, delta-encoded when nothing forbids it.
-
-        In incremental mode over a fault-free downlink, a plan whose
-        content is unchanged (the shedder returned the same object) is
-        not re-broadcast at all, and a same-geometry successor ships as
-        a per-region delta.  Faulty downlinks always get the full push:
-        the periodic re-broadcast is what lets stations recover from
-        lost plan broadcasts.
-        """
-        if self.incremental and self.network.downlink is None:
-            previous = self._last_installed_plan
-            if previous is plan:
-                return
-            delta = previous.diff(plan) if previous is not None else None
-            self.network.install_plan(plan, t=self.current_time, delta=delta)
-        else:
-            self.network.install_plan(plan, t=self.current_time)
-        self._last_installed_plan = plan
-
-    def _trivial_plan(self) -> SheddingPlan:
-        """One region covering the bounds at Δ⊢: no source throttling.
-
-        Memoized: the plan depends only on the (immutable) bounds and
-        config, and reinstalling the *same* object lets the network's
-        coverage cache skip recomputing per-station subsets every
-        adaptation.
-        """
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
-            )
-        return self._trivial_plan_cache
-
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
+            self.observe_load()
+            self.install(self.plan_for(positions, speeds), self.current_time)
 
     def tick(
         self, t: float, positions: np.ndarray, velocities: np.ndarray, dt: float
@@ -291,60 +184,31 @@ class LiraSystem:
         installed (call :meth:`adapt` first); nodes falling outside
         every stored region use Δ⊢ conservatively.
         """
-        if not self._plan_installed:
+        if self.plan is None:
             raise RuntimeError("call adapt() before the first tick()")
         self.current_time = t
-        faults = self.faults
-        inject = faults is not None and not self._faults_null
-        active = None
-        rate_factor = 1.0
-        if inject:
-            self.network.deliver_pending(t)
-            active = faults.churn_step(self.n_nodes)
-            rate_factor = faults.service_factor(t)
-        thresholds = self.node_engine.compute_thresholds(
-            positions, active, default=self.config.delta_min
+        active, rate_factor, uplink = tick_faults(
+            self.faults, self.network, t, self.n_nodes
         )
-        self.fleet.set_thresholds(thresholds)
-        senders = self.fleet.observe(t, positions, velocities)
-        self.history.record(t, senders, positions[senders], velocities[senders])
-        if inject:
-            ids, pos, vel, times = faults.uplink(
-                t, senders, positions[senders], velocities[senders]
-            )
-        else:
-            if faults is not None:
-                counters = faults.counters
-                counters.uplink_sent += int(senders.size)
-                counters.uplink_delivered += int(senders.size)
-            ids, pos, vel, times = (
-                senders,
-                positions[senders],
-                velocities[senders],
-                None,
-            )
-        admit = 1.0 if self.policy == "lira" else self.shedder.current_z
-        # Slice-based chunking with np.array_split's size rule (the
-        # first n % k chunks get one extra element): slicing yields
-        # views, so substepping never copies the report arrays.
-        n, k = int(ids.size), self.receive_substeps
-        base, extra = divmod(n, k)
-        lo = 0
-        for c in range(k):
-            hi = lo + base + (1 if c < extra else 0)
-            chunk = slice(lo, hi)
-            lo = hi
-            self.server.receive_reports(
-                t,
-                ids[chunk],
-                pos[chunk],
-                vel[chunk],
-                times=times[chunk] if times is not None else None,
-                admit_fraction=admit,
-                admit_rng=self._policy_rng if admit < 1.0 else None,
-            )
-            self.server.process(dt / self.receive_substeps, rate_factor=rate_factor)
-        return int(senders.size)
+        sender_ids, sender_pos, sender_vel, _, _ = run_tick(
+            engine=self.node_engine,
+            fleet=self.fleet,
+            server=self.server,
+            positions=positions,
+            velocities=velocities,
+            t=t,
+            dt=dt,
+            substeps=self.receive_substeps,
+            default_delta=self.config.delta_min,
+            admit=self.admit_fraction,
+            admit_rng=self._policy_rng,
+            active=active,
+            rate_factor=rate_factor,
+            uplink=uplink,
+        )
+        self.history.record(t, sender_ids, sender_pos, sender_vel)
+        count_clean_uplink(self.faults, int(sender_ids.size))
+        return int(sender_ids.size)
 
     def evaluate_queries(self, t: float | None = None) -> list[np.ndarray]:
         """Current CQ result sets from the server's believed positions."""
@@ -352,41 +216,8 @@ class LiraSystem:
             self.current_time if t is None else t
         )
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
     def stats(self) -> SystemStats:
         """A snapshot of system-level counters."""
-        mean_staleness, stale_fraction = self.network.staleness(self.current_time)
-        counters = self.faults.counters if self.faults is not None else None
-        active = self.faults.active_mask if self.faults is not None else None
-        return SystemStats(
-            time=self.current_time,
-            z=self.shedder.current_z,
-            queue_length=len(self.server.queue),
-            queue_drops=self.server.queue.total_dropped,
-            updates_sent=self.fleet.total_reports,
-            updates_processed=self.server.table.updates_applied,
-            broadcast_bytes=self.network.total_broadcast_bytes,
-            # O(1): a monotonic counter the engine maintains tick by
-            # tick, not an O(N) reduction over per-node counters.
-            handoffs=self.node_engine.total_handoffs,
-            plan_version=self.network.version,
-            mean_plan_staleness=mean_staleness,
-            stale_station_fraction=stale_fraction,
-            uplink_sent=counters.uplink_sent if counters else 0,
-            uplink_lost=counters.uplink_lost if counters else 0,
-            uplink_delayed=counters.uplink_delayed if counters else 0,
-            uplink_in_flight=(
-                self.faults.uplink_in_flight if self.faults is not None else 0
-            ),
-            downlink_lost=counters.downlink_lost if counters else 0,
-            downlink_delayed=counters.downlink_delayed if counters else 0,
-            admission_drops=self.server.total_admission_dropped,
-            updates_discarded=self.server.table.updates_discarded,
-            slow_ticks=counters.slow_ticks if counters else 0,
-            active_nodes=(
-                int(active.sum()) if active is not None else self.n_nodes
-            ),
+        return build_stats(
+            self.current_time, self.shedder.current_z, [self], self.faults, self.n_nodes
         )

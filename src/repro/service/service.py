@@ -21,18 +21,19 @@ as the paper's architecture separates them:
 * **adaptation** — a periodic task closes a load-measurement period,
   steps THROTLOOP, recomputes the shedding plan from the *believed*
   node state, installs it into the station network, and pushes it to
-  every subscribed client.
+  every subscribed client.  The service *is* a
+  :class:`~repro.server.core.LiraCore`, so these steps are the same code
+  the systems loop runs.
 
 Every timestamp flows through the :data:`repro.timing.Clock` seam —
 :func:`repro.timing.monotonic` in production (comparable across
 processes on Linux), :class:`repro.timing.ManualClock` in tests — so
 the service itself never reads the wall clock (REP002).
 
-Policy semantics mirror :class:`~repro.server.system.LiraSystem`:
-``"lira"`` computes real region plans so clients shed at the *sources*;
-``"random-drop"`` is the paper's uncontrolled regime — a trivial
-one-region plan at Δ⊢ (no source throttling) with overload handled by
-queue-overflow dropping alone.
+Policies are the systems loop's: ``"lira"`` computes real region plans
+so clients shed at the *sources*; ``"random-drop"`` is the paper's
+uncontrolled regime — a trivial one-region plan at Δ⊢ (no source
+throttling) with overload handled by queue-overflow dropping alone.
 """
 
 from __future__ import annotations
@@ -46,17 +47,16 @@ from typing import Any, Coroutine
 import numpy as np
 
 from repro import sanitize, timing
-from repro.core import LiraConfig, LiraLoadShedder, StatisticsGrid
-from repro.core.greedy import RegionStats
-from repro.core.plan import PlanDelta, SheddingPlan, clamp_thresholds
+from repro.core import LiraConfig
+from repro.core.plan import PlanDelta, SheddingPlan
 from repro.core.reduction import AnalyticReduction, ReductionFunction
 from repro.faults import FaultInjector, FaultSpec
 from repro.geo import Rect
 from repro.queries import QueryDistribution, RangeQuery, generate_workload
 from repro.server.base_station import place_uniform_stations
+from repro.server.core import POLICIES, LiraCore
 from repro.server.cq_server import MobileCQServer
 from repro.server.protocol import BaseStationNetwork
-from repro.server.system import POLICIES
 from repro.service.framing import Frame, FrameError, encode_frame, read_frame
 
 logger = logging.getLogger(__name__)
@@ -228,7 +228,7 @@ class ServiceCounters:
     ingest_rejects: dict[str, int] = field(default_factory=dict)
 
 
-class LiraService:
+class LiraService(LiraCore):
     """One live LIRA server endpoint (see the module docstring).
 
     The constructor takes fully built components so tests can inject a
@@ -257,42 +257,32 @@ class LiraService:
         incremental: bool = True,
         clock: timing.Clock = timing.monotonic,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        self.config = config or LiraConfig(l=13, alpha=16)
-        self.bounds = bounds
-        self.n_nodes = n_nodes
-        self.policy = policy
-        self.clock = clock
-        self.faults = faults
-        self.incremental = incremental
-        self.adapt_period = adapt_period
-        self.pump_period = pump_period
-        self.server = MobileCQServer(
+        super().__init__(
             bounds,
-            n_nodes,
-            queries,
-            service_rate=service_rate,
-            queue_capacity=queue_capacity,
-            batch_ingest=True,
-        )
-        self.shedder = LiraLoadShedder(
-            self.config,
+            config or LiraConfig(l=13, alpha=16),
             reduction,
+            server=MobileCQServer(
+                bounds,
+                n_nodes,
+                queries,
+                service_rate=service_rate,
+                queue_capacity=queue_capacity,
+                batch_ingest=True,
+            ),
+            network=BaseStationNetwork(place_uniform_stations(bounds, station_radius)),
             queue_capacity=queue_capacity,
-            engine="vector",
+            policy=policy,
             incremental=incremental,
         )
-        self.shedder.use_adaptive_throttle()
+        self.n_nodes = n_nodes
+        self.clock = clock
+        self.faults = faults
+        self.adapt_period = adapt_period
+        self.pump_period = pump_period
         self.shedder.throtloop.utilization_target = utilization_target
         self.shedder.throtloop.smoothing = throttle_smoothing
-        self.network = BaseStationNetwork(
-            place_uniform_stations(bounds, station_radius)
-        )
         self.counters = ServiceCounters()
-        self.plan: SheddingPlan | None = None
         self.plan_generated_t = 0.0
-        self._trivial_plan_cache: SheddingPlan | None = None
         # Delta-broadcast state of the last install: the delta that
         # carried the previous plan to the current one (None = full
         # install), which stations actually saw new content (None =
@@ -359,61 +349,45 @@ class LiraService:
         return processed
 
     def adapt_once(self) -> SheddingPlan:
-        """One adaptation: measure load, step THROTLOOP, install a plan.
+        """One adaptation of the shared server core: measure load, step
+        THROTLOOP, install a plan (:class:`~repro.server.core.LiraCore`).
 
-        Mirrors :meth:`repro.server.system.LiraSystem.adapt`, with the
-        believed node state standing in for the simulator's ground
+        The believed node state stands in for the simulator's ground
         truth — a live server only knows what was reported to it.
         """
         now = self.clock()
         # Under REPRO_SANITIZE=1 any hidden global-RNG draw in the
         # adaptation path raises instead of silently de-seeding runs.
         with sanitize.rng_discipline():
-            measurement = self.server.take_load_measurement()
-            if measurement.period > 0:
-                # Routes through ThrotLoop.step(), which tolerates a
-                # stalled μ <= 0 measurement (collapse to z_floor under
-                # load, reopen when idle) instead of raising
-                # mid-adaptation.
-                self.shedder.observe_load(
-                    measurement.arrival_rate, self.server.service_rate
-                )
-            plan: SheddingPlan | None = None
-            if self.policy == "lira":
-                plan = self._lira_plan(now)
-            if plan is None:
-                plan = self._trivial_plan()
-            previous = self.plan
-            delta: PlanDelta | None = None
-            if self.incremental and previous is not None:
-                if previous is plan:
-                    # Unchanged content (the shedder returned the same
-                    # object): the network and every subscriber already
-                    # hold it — no install, nothing to push.
-                    self.counters.plans_computed += 1
-                    self._plan_dirty = False
-                    return plan
-                delta = previous.diff(plan)
-            delivered = self.network.install_plan(plan, t=now, delta=delta)
-            self._last_delta = delta
+            self.observe_load()
+            plan = self.plan_for(*self._believed_state(now))
+            installed = self.install(plan, now)
+        self.counters.plans_computed += 1
+        # A skipped install (the shedder returned the installed object):
+        # the network and every subscriber already hold it — no push.
+        self._plan_dirty = installed is not None
+        if installed is not None:
+            delivered, self._last_delta = installed
             # A delta install re-delivers only stations whose subset
-            # changed; a full install re-delivers everyone (None =
-            # no skipping).
+            # changed; a full install re-delivers everyone (None = no
+            # skipping).
             self._changed_stations = (
-                frozenset(delivered) if delta is not None else None
+                frozenset(delivered) if self._last_delta is not None else None
             )
-            self._plan_dirty = True
-            self.plan = plan
             self.plan_generated_t = now
-            self.counters.plans_computed += 1
-            return plan
+        return plan
 
-    def _lira_plan(self, now: float) -> SheddingPlan | None:
-        """A region plan from believed state; ``None`` before any report."""
+    def _believed_state(
+        self, now: float
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Believed positions and speeds of the known nodes at ``now``.
+
+        ``(None, None)`` before any report (the trivial plan's cue).
+        """
         table = self.server.table
         known = np.flatnonzero(table.known_mask)
         if known.size == 0:
-            return None
+            return None, None
         believed = table.predict(now)[known]
         # Clamp believed positions into bounds: extrapolating a stale
         # model can walk a node outside the monitoring region, and the
@@ -421,29 +395,7 @@ class LiraService:
         believed[:, 0] = np.clip(believed[:, 0], self.bounds.x1, self.bounds.x2)
         believed[:, 1] = np.clip(believed[:, 1], self.bounds.y1, self.bounds.y2)
         vel = table.velocities[known]
-        speeds = np.hypot(vel[:, 0], vel[:, 1])
-        grid = StatisticsGrid.from_snapshot(
-            self.bounds,
-            self.config.resolved_alpha,
-            believed,
-            speeds,
-            self.server.queries,
-        )
-        return self.shedder.adapt(grid)
-
-    def _trivial_plan(self) -> SheddingPlan:
-        """One region at Δ⊢ (no source throttling); memoized."""
-        if self._trivial_plan_cache is None:
-            region = RegionStats(rect=self.bounds, n=0.0, m=0.0, s=0.0)
-            self._trivial_plan_cache = SheddingPlan.from_regions(
-                bounds=self.bounds,
-                regions=[region],
-                thresholds=clamp_thresholds(
-                    np.array([self.config.delta_min]), self.config
-                ),
-                resolution=1,
-            )
-        return self._trivial_plan_cache
+        return believed, np.hypot(vel[:, 0], vel[:, 1])
 
     def stats_meta(self) -> dict:
         """The ``stats`` frame payload: one consistent snapshot."""

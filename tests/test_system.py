@@ -145,3 +145,57 @@ class TestBootstrap:
         )
         # Everyone just registered at these exact positions: no deviation.
         assert sent == 0
+
+
+class TestIncrementalSystem:
+    """``incremental=True`` changes only what the downlink carries."""
+
+    @staticmethod
+    def _drive(incremental, spec=None):
+        import dataclasses
+
+        from repro.faults import FaultInjector
+        from repro.queries import RangeQuery
+
+        rng = np.random.default_rng(3)
+        n = 400
+        bounds = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+        system = LiraSystem(
+            bounds,
+            n,
+            [RangeQuery(0, Rect(1000.0, 1000.0, 4000.0, 4000.0))],
+            AnalyticReduction(5.0, 100.0),
+            config=LiraConfig(l=13, alpha=32),
+            service_rate=500.0,
+            station_radius=1500.0,
+            policy_seed=7,
+            faults=FaultInjector(spec, seed=11) if spec is not None else None,
+            incremental=incremental,
+        )
+        positions = rng.uniform(0.0, 10_000.0, size=(n, 2))
+        velocities = rng.uniform(-30.0, 30.0, size=(n, 2))
+        velocities[rng.random(n) >= 0.2] = 0.0  # 80% parked: plans drift slowly
+        system.bootstrap(positions, velocities)
+        sent = []
+        for tick in range(40):
+            positions = np.clip(positions + velocities, 0.0, 10_000.0)
+            if tick % 4 == 0:
+                system.adapt(positions, np.linalg.norm(velocities, axis=1))
+            sent.append(system.tick(float(tick), positions, velocities, 1.0))
+        return sent, dataclasses.asdict(system.stats())
+
+    def test_fault_free_downlink_only_saves_broadcast_bytes(self):
+        full_sent, full = self._drive(incremental=False)
+        inc_sent, inc = self._drive(incremental=True)
+        assert inc_sent == full_sent
+        assert inc.pop("broadcast_bytes") < full.pop("broadcast_bytes")
+        assert inc == full
+
+    def test_faulty_downlink_always_gets_the_full_push(self):
+        from repro.faults import FaultSpec
+
+        spec = FaultSpec(downlink_loss=0.3, downlink_delay=0.2)
+        full_sent, full = self._drive(incremental=False, spec=spec)
+        inc_sent, inc = self._drive(incremental=True, spec=spec)
+        assert inc_sent == full_sent
+        assert inc == full
