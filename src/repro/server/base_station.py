@@ -10,6 +10,7 @@ Section 4.3.2 / Table 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,22 @@ class BaseStation:
     center: Point
     radius: float
 
+    def distance_to(self, p: Point) -> float:
+        """Distance from the station center to ``p``.
+
+        Plain ``sqrt(dx² + dy²)`` rather than ``hypot``: NumPy's and
+        Python's ``hypot`` disagree in the last ulp on about 0.5% of
+        inputs, while this form rounds the same way element-wise in
+        :class:`~repro.server.node_engine.StationAssigner`, so scalar
+        and batched assignment agree on coverage boundaries too.
+        """
+        dx = p.x - self.center.x
+        dy = p.y - self.center.y
+        return math.sqrt(dx * dx + dy * dy)
+
     def covers(self, p: Point) -> bool:
         """True if point ``p`` is inside the coverage disk."""
-        return self.center.distance_to(p) <= self.radius
+        return self.distance_to(p) <= self.radius
 
     def regions_in_coverage(self, plan: SheddingPlan) -> list[int]:
         """Indices of plan regions intersecting this station's coverage."""

@@ -21,9 +21,10 @@ This module provides two interchangeable engines behind one interface:
      the monitoring bounds: each raster cell stores the small set of
      stations that could possibly serve any point inside it (covering
      candidates by disk–cell distance, nearest-overall candidates by
-     the min/max-distance pruning bound), so the per-node resolution is
-     an exact argmin over a handful of gathered candidates instead of a
-     scan of every station;
+     the min/max-distance pruning bound, less the stations a
+     whole-cell-covering station dominates), so most nodes resolve by
+     one table read and the rest by an exact argmin over a handful of
+     gathered candidates instead of a scan of every station;
   2. **threshold lookup** via per-station *threshold rasters*: the
      station's region subset is rasterized onto the irregular grid
      spanned by its region edges (so every rect boundary is a raster
@@ -86,9 +87,12 @@ class StationAssigner:
     for *some* point in the cell: stations whose coverage disk reaches
     the cell, plus stations whose minimum distance to the cell does not
     exceed the smallest maximum distance (the classic nearest-neighbour
-    pruning bound).  Positions outside the raster bounds (rare; traces
-    are generated inside them) are resolved against the full station
-    list, so the assignment is exact everywhere.
+    pruning bound), minus every station *dominated* in the cell — one
+    that some station covering the whole cell beats everywhere in it.
+    Most cells are left with a single candidate, which needs no
+    distance computation at all.  Positions outside the raster bounds
+    (rare; traces are generated inside them) are resolved against the
+    full station list, so the assignment is exact everywhere.
     """
 
     def __init__(
@@ -108,8 +112,14 @@ class StationAssigner:
             [s.station_id for s in stations], dtype=np.int64
         )
         n_stations = len(stations)
+        #: Smallest unsigned dtype holding every slot: grouping nodes by
+        #: station sorts keys of this type (NumPy radix-sorts 8- and
+        #: 16-bit integers).
+        self.slot_dtype = np.min_scalar_type(n_stations - 1)
         if resolution is None:
-            resolution = int(np.clip(4 * np.ceil(np.sqrt(n_stations)), 8, 128))
+            # ~9 cells per station spacing: fine enough that most cells
+            # lie wholly inside one station's dominance zone.
+            resolution = int(np.clip(9 * np.ceil(np.sqrt(n_stations)), 8, 128))
         self.resolution = resolution
         self._cell_w = bounds.width / resolution or 1.0
         self._cell_h = bounds.height / resolution or 1.0
@@ -118,45 +128,55 @@ class StationAssigner:
     def _build_raster(self) -> tuple[np.ndarray, np.ndarray]:
         res = self.resolution
         b = self.bounds
-        # Cell rectangles, one row per flattened cell (x-major like the
-        # plan raster: flat = i * res + j).
-        i = np.repeat(np.arange(res), res)
-        j = np.tile(np.arange(res), res)
-        x1 = b.x1 + i * self._cell_w
-        y1 = b.y1 + j * self._cell_h
+        # The cells form a product grid, so the per-axis gaps between a
+        # cell and a station are (res, stations) tables, and the cell
+        # distances are sums over one x row and one y row.  Flattened
+        # cells are x-major like the plan raster: flat = i * res + j.
+        x1 = b.x1 + np.arange(res) * self._cell_w
+        y1 = b.y1 + np.arange(res) * self._cell_h
         x2, y2 = x1 + self._cell_w, y1 + self._cell_h
-        # Min distance: clamp the station center into the (closed) cell.
-        dx = np.maximum(
-            np.maximum(x1[:, None] - self._cx[None, :], 0.0),
-            self._cx[None, :] - x2[:, None],
+
+        def gaps(lo, hi, c):
+            # Nearest gap: clamp the station coordinate into [lo, hi];
+            # farthest gap: to the farther of the two edges.
+            near = np.maximum(np.maximum(lo[:, None] - c, 0.0), c - hi[:, None])
+            far = np.maximum(np.abs(lo[:, None] - c), np.abs(hi[:, None] - c))
+            return near, far
+
+        def distance(gx, gy):
+            sq = np.square(gx)[:, None, :] + np.square(gy)[None, :, :]
+            return np.sqrt(sq).reshape(res * res, -1)  # (cells, stations)
+
+        near_x, far_x = gaps(x1, x2, self._cx)
+        near_y, far_y = gaps(y1, y2, self._cy)
+        d_min = distance(near_x, near_y)
+        d_max = distance(far_x, far_y)
+        scale = max(
+            abs(b.x1), abs(b.x2), abs(b.y1), abs(b.y2),
+            float(np.abs(self._cx).max()), float(np.abs(self._cy).max()), 1.0,
         )
-        dy = np.maximum(
-            np.maximum(y1[:, None] - self._cy[None, :], 0.0),
-            self._cy[None, :] - y2[:, None],
-        )
-        d_min = np.hypot(dx, dy)  # (cells, stations)
-        # Max distance: the farthest cell corner from the center.
-        far_x = np.maximum(
-            np.abs(x1[:, None] - self._cx[None, :]),
-            np.abs(x2[:, None] - self._cx[None, :]),
-        )
-        far_y = np.maximum(
-            np.abs(y1[:, None] - self._cy[None, :]),
-            np.abs(y2[:, None] - self._cy[None, :]),
-        )
-        d_max = np.hypot(far_x, far_y)
-        scale = max(abs(b.x1), abs(b.x2), abs(b.y1), abs(b.y2), 1.0)
         eps = _PRUNE_EPS * scale
         covering = d_min <= self._radius[None, :] + eps
         nearest_bound = d_max.min(axis=1, keepdims=True)
         nearest = d_min <= nearest_bound + eps
-        candidate = covering | nearest
+        # Dominance: a station k that covers the whole cell beats every
+        # station j whose nearest approach to the cell is farther than
+        # k's farthest corner — at each point of the cell k covers and
+        # is strictly closer, so j is neither the nearest covering
+        # station nor the uncovered fallback.  ``dominating`` is the
+        # tightest such d_max(c, k) per cell (inf when no station covers
+        # the whole cell); the true winner always survives, and so do
+        # all stations it could tie with.
+        whole = d_max + eps < self._radius[None, :]
+        dominating = np.where(whole, d_max, np.inf).min(axis=1, keepdims=True)
+        candidate = (covering | nearest) & (d_min <= dominating + eps)
         counts = candidate.sum(axis=1)
-        width = int(counts.max())
-        table = np.full((res * res, width), -1, dtype=np.int64)
-        for cell in range(res * res):
-            slots = np.flatnonzero(candidate[cell])  # ascending list order
-            table[cell, : slots.size] = slots
+        # Row-major nonzero lists each cell's candidates in ascending
+        # list order; a per-cell offset turns them into table columns.
+        cells, slots = np.nonzero(candidate)
+        column = np.arange(cells.size) - (np.cumsum(counts) - counts)[cells]
+        table = np.full((res * res, int(counts.max())), -1, dtype=np.int64)
+        table[cells, column] = slots
         return table, counts
 
     @property
@@ -185,8 +205,10 @@ class StationAssigner:
         """Exact winner among per-row candidate slot lists (-1 padded)."""
         valid = cand >= 0
         safe = np.where(valid, cand, 0)
-        d = np.hypot(x[:, None] - self._cx[safe], y[:, None] - self._cy[safe])
-        d = np.where(valid, d, np.inf)
+        # BaseStation.distance_to, element-wise (same rounding).
+        dx = x[:, None] - self._cx[safe]
+        dy = y[:, None] - self._cy[safe]
+        d = np.where(valid, np.sqrt(dx * dx + dy * dy), np.inf)
         covers = valid & (d <= self._radius[safe])
         d_cover = np.where(covers, d, np.inf)
         has_cover = covers.any(axis=1)
@@ -514,7 +536,9 @@ class VectorNodeEngine:
         idx_have = np.flatnonzero(stored >= 0)
         if idx_have.size:
             groups = slots[idx_have]
-            order = np.argsort(groups, kind="stable")
+            order = np.argsort(
+                groups.astype(self.assigner.slot_dtype), kind="stable"
+            )
             sorted_idx = idx_have[order]
             sorted_groups = groups[order]
             starts = np.concatenate(

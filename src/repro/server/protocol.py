@@ -289,7 +289,7 @@ class BaseStationNetwork:
         p = Point(x, y)
         covering = [s for s in self.stations if s.covers(p)]
         pool = covering or self.stations
-        return min(pool, key=lambda s: s.center.distance_to(p))
+        return min(pool, key=lambda s: s.distance_to(p))
 
     def subset_for_station(self, station_id: int) -> RegionSubset:
         """The current subset of one station (hand-off download)."""

@@ -277,16 +277,17 @@ def _concat_states(
 # ----------------------------------------------------------------------
 
 _WORKER_ASSIGNER: StationAssigner | None = None
-_WORKER_STATIONS: list[BaseStation] | None = None
-_WORKER_BOUNDS: Rect | None = None
 
 
-def _pool_init(stations: list[BaseStation], bounds: Rect, resolution: int) -> None:
-    """Worker initializer: build the shared assigner once per process."""
-    global _WORKER_ASSIGNER, _WORKER_STATIONS, _WORKER_BOUNDS
-    _WORKER_STATIONS = stations
-    _WORKER_BOUNDS = bounds
-    _WORKER_ASSIGNER = StationAssigner(stations, bounds, resolution=resolution)
+def _pool_init(assigner: StationAssigner) -> None:
+    """Worker initializer: adopt the coordinator's built assigner.
+
+    Shipping the built raster (rather than rebuilding it from the
+    station list) keeps the build to one per system and guarantees the
+    workers resolve positions against the router's exact table.
+    """
+    global _WORKER_ASSIGNER
+    _WORKER_ASSIGNER = assigner
 
 
 def _pool_tick_job(payload: tuple) -> tuple:
@@ -298,13 +299,13 @@ def _pool_tick_job(payload: tuple) -> tuple:
     round and the result is bit-identical to the in-process path.
     """
     engine_state, subsets, kernel_args = payload
-    assert _WORKER_ASSIGNER is not None and _WORKER_BOUNDS is not None
-    assert _WORKER_STATIONS is not None
+    assigner = _WORKER_ASSIGNER
+    assert assigner is not None
     engine = VectorNodeEngine(
         0,
-        _SnapshotDirectory(_WORKER_STATIONS, subsets),
-        _WORKER_BOUNDS,
-        assigner=_WORKER_ASSIGNER,
+        _SnapshotDirectory(assigner.stations, subsets),
+        assigner.bounds,
+        assigner=assigner,
     )
     engine.load_tick_state(engine_state)
     with Stopwatch() as watch:
@@ -490,11 +491,7 @@ class ShardedLiraSystem:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 initializer=_pool_init,
-                initargs=(
-                    self.router.stations,
-                    self.bounds,
-                    self.router.assigner.resolution,
-                ),
+                initargs=(self.router.assigner,),
             )
         return self._pool
 

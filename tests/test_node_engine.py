@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalyticReduction, LiraConfig, StatisticsGrid
 from repro.core.plan import SheddingRegion
@@ -118,9 +120,100 @@ class TestStationAssigner:
         slot = assigner.assign(np.array([70.0]), np.array([0.0]))[0]
         assert slot == 1
 
-    def test_candidate_raster_prunes(self, assigner):
-        """The raster should carry far fewer candidates than stations."""
-        assert assigner.mean_candidates < len(assigner.stations)
+    def test_dominance_leaves_most_cells_one_candidate(self):
+        """Benchmark layout (49 stations of 1.5 km over 14 km): most raster
+        cells resolve by one table read.  Without the dominance rule every
+        cell keeps each station whose disk reaches it (on 28×28 cells:
+        single-candidate share 0.08, 2.5 candidates per cell)."""
+        bounds = Rect(0.0, 0.0, 14_000.0, 14_000.0)
+        assigner = StationAssigner(place_uniform_stations(bounds, 1500.0), bounds)
+        assert len(assigner.stations) == 49
+        assert assigner.resolution == 63
+        assert np.mean(assigner._n_candidates == 1) > 0.6
+        assert assigner.mean_candidates < 1.5
+
+
+def _snap_to_circle(station: BaseStation, x: float, y: float) -> float:
+    """Step ``x`` by whole ulps until ``station.distance_to`` reads exactly
+    the radius (or give up after a few steps); returns the new ``x``."""
+    for _ in range(8):
+        d = station.distance_to(Point(x, y))
+        if d == station.radius:
+            break
+        outward = (d < station.radius) == (x >= station.center.x)
+        x = float(np.nextafter(x, np.inf if outward else -np.inf))
+    return x
+
+
+@st.composite
+def _station_layouts(draw):
+    """1-14 stations on a 10 m lattice with mixed radii, some centers
+    outside the bounds: coverage gaps (the nearest-station fallback),
+    nested and coincident disks, and exact distance ties all occur."""
+    w = draw(st.integers(20, 200)) * 10.0
+    h = draw(st.integers(20, 200)) * 10.0
+    stations = []
+    for sid in range(draw(st.integers(1, 14))):
+        cx = draw(st.integers(-20, int(w) // 10 + 20)) * 10.0
+        cy = draw(st.integers(-20, int(h) // 10 + 20)) * 10.0
+        radius = draw(st.integers(5, 120)) * 10.0
+        stations.append(
+            BaseStation(station_id=100 + sid, center=Point(cx, cy), radius=radius)
+        )
+    return stations, Rect(0.0, 0.0, w, h)
+
+
+class TestStationAssignerProperties:
+    """``assign`` ≡ ``station_for`` at the points where rounding decides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_station_layouts(), st.integers(0, 2**32 - 1))
+    def test_matches_station_for(self, layout, seed):
+        stations, b = layout
+        network = BaseStationNetwork(stations)
+        assigner = StationAssigner(stations, b)
+        rng = np.random.default_rng(seed)
+        # Inside and outside the bounds.
+        xs = [rng.uniform(b.x1 - 300.0, b.x2 + 300.0, 80)]
+        ys = [rng.uniform(b.y1 - 300.0, b.y2 + 300.0, 80)]
+        # Raster cell edges at the assigner's resolution, computed the
+        # way the cell index is (and as linspace rounds them).
+        res = assigner.resolution
+        for ex, ey in (
+            (b.x1 + np.arange(res + 1) * (b.width / res),
+             b.y1 + np.arange(res + 1) * (b.height / res)),
+            (np.linspace(b.x1, b.x2, res + 1), np.linspace(b.y1, b.y2, res + 1)),
+        ):
+            xs += [rng.choice(ex, 40), rng.uniform(b.x1, b.x2, 40), rng.choice(ex, 20)]
+            ys += [rng.uniform(b.y1, b.y2, 40), rng.choice(ey, 40), rng.choice(ey, 20)]
+        # Coverage-disk boundaries, snapped to distance == radius, and
+        # one ulp either side.
+        for _ in range(40):
+            station = stations[rng.integers(len(stations))]
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            y = station.center.y + station.radius * np.sin(theta)
+            x = _snap_to_circle(
+                station, station.center.x + station.radius * np.cos(theta), y
+            )
+            xs.append(np.array([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]))
+            ys.append(np.full(3, y))
+        # Perpendicular bisectors of station pairs: quarter-metre steps
+        # give exactly equidistant points (list order must break the
+        # tie), random steps near-ties.
+        if len(stations) > 1:
+            for _ in range(40):
+                a, c = (stations[k] for k in rng.choice(len(stations), 2, replace=False))
+                mx = (a.center.x + c.center.x) / 2.0
+                my = (a.center.y + c.center.y) / 2.0
+                t = np.array([rng.integers(-12, 13) / 4.0, rng.uniform(-3.0, 3.0)])
+                xs.append(mx - t * (c.center.y - a.center.y))
+                ys.append(my + t * (c.center.x - a.center.x))
+        x = np.concatenate(xs)
+        y = np.concatenate(ys)
+        slots = assigner.assign(x, y)
+        for i in range(x.size):
+            expected = network.station_for(float(x[i]), float(y[i]))
+            assert assigner.stations[slots[i]] is expected, (x[i], y[i])
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +298,9 @@ class TestThresholdRaster:
 # ----------------------------------------------------------------------
 
 
-def _run_system(trace, queries, engine, policy="lira", spec=None, seed=9):
+def _run_system(
+    trace, queries, engine, policy="lira", spec=None, seed=9, station_radius=1500.0
+):
     faults = FaultInjector(spec, seed=seed) if spec is not None else None
     system = LiraSystem(
         bounds=trace.bounds,
@@ -215,7 +310,7 @@ def _run_system(trace, queries, engine, policy="lira", spec=None, seed=9):
         config=LiraConfig(l=13, alpha=32),
         service_rate=500.0,
         queue_capacity=60,
-        station_radius=1500.0,
+        station_radius=station_radius,
         adaptive_throttle=True,
         faults=faults,
         policy=policy,
@@ -290,6 +385,23 @@ class TestEngineEquivalence:
             obj.evaluate_queries(t), vec.evaluate_queries(t)
         ):
             assert np.array_equal(res_obj, res_vec)
+
+    def test_more_than_255_stations(self, small_trace, small_queries):
+        """Slots outgrow uint8: grouping sorts uint16 keys, same results."""
+        obj, sent_obj = _run_system(
+            small_trace, small_queries, "object", station_radius=170.0
+        )
+        vec, sent_vec = _run_system(
+            small_trace, small_queries, "vector", station_radius=170.0
+        )
+        assigner = vec.node_engine.assigner
+        assert len(assigner.stations) == 289
+        assert assigner.slot_dtype == np.uint16
+        assert sent_obj == sent_vec
+        assert _stats_fields(obj.stats()) == _stats_fields(vec.stats())
+        assert np.array_equal(
+            obj.node_engine.station_slots(), vec.node_engine.station_slots()
+        )
 
     def test_stored_region_counts_agree_without_churn(
         self, small_trace, small_queries

@@ -194,6 +194,32 @@ class TestMultiShardReproducibility:
             np.testing.assert_array_equal(rows_serial, rows_pool)
 
 
+def _worker_assigner_probe():
+    from repro.server import sharded
+
+    assigner = sharded._WORKER_ASSIGNER
+    return getattr(assigner, "probe", None), assigner._candidates
+
+
+class TestPoolAssigner:
+    def test_workers_adopt_the_router_assigner(self):
+        """Workers hold the coordinator's built raster, not a rebuild."""
+        sharded = _make_sharded(2, n_workers=2)
+        if sharded.n_workers < 2:
+            pytest.skip("one core: no process pool")
+        try:
+            # An instance attribute survives shipping (fork or pickle)
+            # but not a rebuild from the station list.
+            sharded.router.assigner.probe = "coordinator"
+            probe, table = (
+                sharded._ensure_pool().submit(_worker_assigner_probe).result()
+            )
+        finally:
+            sharded.close()
+        assert probe == "coordinator"
+        np.testing.assert_array_equal(table, sharded.router.assigner._candidates)
+
+
 class TestCoordinator:
     def test_budget_rebalance_preserves_global_z(self):
         sharded = _make_sharded(4)
